@@ -241,32 +241,24 @@ func closRandPermSP(b *testing.B, spines, leaves int) (topology.Topology, *route
 // ~13.8k cycles/sec on this curve in the reference container; the
 // active-set core is required to stay >= 3x above that.
 //
-// The -wN variants drive the same curves through the sharded parallel
-// cycle loop (sim.Config.Workers, DESIGN.md §15) and produce identical
-// results; on a single-core runner they measure barrier overhead rather
-// than speedup. The 64x64 and clos rows exercise table construction and
-// shard counts (32 and 18) far beyond the thesis figures.
+// The 64x64 and clos rows exercise table construction and active-set
+// sizes far beyond the thesis figures.
 func BenchmarkSimCycles(b *testing.B) {
 	// The -metrics variants attach a live collector: the instrumented and
 	// plain runs must stay within the documented <2% overhead budget
 	// (DESIGN.md §14) because the simulator flushes counters only at its
-	// existing 1024-cycle poll, never per cycle — including the per-shard
-	// active-set gauges of a parallel run.
+	// existing 1024-cycle poll, never per cycle.
 	for _, tc := range []struct {
 		name    string
 		build   func(*testing.B) (topology.Topology, *route.Set)
-		workers int
 		metrics bool
 	}{
-		{"mesh8x8", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 8, 8) }, 0, false},
-		{"mesh8x8-metrics", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 8, 8) }, 0, true},
-		{"mesh16x16", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 16, 16) }, 0, false},
-		{"mesh16x16-metrics", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 16, 16) }, 0, true},
-		{"mesh16x16-w4", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 16, 16) }, 4, false},
-		{"mesh16x16-w4-metrics", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 16, 16) }, 4, true},
-		{"mesh64x64", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 64, 64) }, 0, false},
-		{"mesh64x64-w8", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 64, 64) }, 8, false},
-		{"clos32x256-w8", func(b *testing.B) (topology.Topology, *route.Set) { return closRandPermSP(b, 32, 256) }, 8, false},
+		{"mesh8x8", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 8, 8) }, false},
+		{"mesh8x8-metrics", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 8, 8) }, true},
+		{"mesh16x16", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 16, 16) }, false},
+		{"mesh16x16-metrics", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 16, 16) }, true},
+		{"mesh64x64", func(b *testing.B) (topology.Topology, *route.Set) { return meshTransposeXY(b, 64, 64) }, false},
+		{"clos32x256", func(b *testing.B) (topology.Topology, *route.Set) { return closRandPermSP(b, 32, 256) }, false},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var coll *metrics.Collector
@@ -282,7 +274,6 @@ func BenchmarkSimCycles(b *testing.B) {
 					s, err := sim.New(sim.Config{
 						Mesh: m, Routes: set, VCs: 2, OfferedRate: rate,
 						WarmupCycles: 2000, MeasureCycles: 10000, Seed: 1,
-						Workers: tc.workers,
 						Metrics: coll,
 					})
 					if err != nil {

@@ -10,10 +10,8 @@ import "encoding/json"
 // counts. Two specs that execute identically — however sparsely their
 // JSON spells the defaults — canonicalize to the same value.
 //
-// Pure speed knobs are cleared: SimSpec.Workers never changes result
-// bytes (DESIGN.md §15), so it is not part of a spec's identity. The
-// diagnostic Name is kept — results echo it, so specs differing only by
-// Name produce different output.
+// The diagnostic Name is kept — results echo it, so specs differing
+// only by Name produce different output.
 //
 // Canonical resolves the package defaults, not a Pipeline's: options
 // like WithSelector and WithSimDefaults shift what an empty field means
@@ -26,11 +24,6 @@ func (s Spec) Canonical() (Spec, error) {
 	}
 	if isBSOR(s.Algorithm) && len(s.Breakers) == 0 {
 		s.Breakers = DefaultBreakers(s.Topo)
-	}
-	if s.Sim != nil {
-		sim := *s.Sim // withDefaults already copied; keep Canonical alias-free
-		sim.Workers = 0
-		s.Sim = &sim
 	}
 	return s, nil
 }

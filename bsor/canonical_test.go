@@ -39,12 +39,11 @@ func TestCanonicalKeyGolden(t *testing.T) {
 }
 
 // TestCanonicalResolvesDefaults checks the individual resolutions:
-// algorithm casing, VCs, breaker enumeration, sim cycle counts, and the
-// clearing of SimSpec.Workers (a speed knob, not spec identity).
+// algorithm casing, VCs, breaker enumeration, and sim cycle counts.
 func TestCanonicalResolvesDefaults(t *testing.T) {
 	spec := Spec{
 		Topo: Ring(8), Workload: "rand-perm", Algorithm: "sp",
-		Sim: &SimSpec{Rates: []float64{5}, Workers: 4},
+		Sim: &SimSpec{Rates: []float64{5}},
 	}
 	c, err := spec.Canonical()
 	if err != nil {
@@ -62,11 +61,8 @@ func TestCanonicalResolvesDefaults(t *testing.T) {
 	if c.Sim.Warmup != 20000 || c.Sim.Measure != 100000 {
 		t.Errorf("sim cycles = %d/%d, want published 20000/100000", c.Sim.Warmup, c.Sim.Measure)
 	}
-	if c.Sim.Workers != 0 {
-		t.Errorf("sim workers = %d survived canonicalization; it never changes result bytes", c.Sim.Workers)
-	}
-	if spec.Sim.Workers != 4 {
-		t.Errorf("Canonical mutated the input spec's SimSpec (workers = %d)", spec.Sim.Workers)
+	if spec.Sim.Warmup != 0 {
+		t.Errorf("Canonical mutated the input spec's SimSpec (warmup = %d)", spec.Sim.Warmup)
 	}
 
 	// A BSOR spec on a non-mesh kind enumerates that topology's default

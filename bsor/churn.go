@@ -42,10 +42,6 @@ type ChurnSpec struct {
 	Measure int64 `json:"measure,omitempty"`
 	// Seed is the simulation random seed.
 	Seed int64 `json:"seed,omitempty"`
-	// SimWorkers threads the cycle loop of the simulation itself over
-	// spatial shards (sim.Config.Workers); 0 or 1 keep it
-	// single-threaded. Byte-identical results for any value.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Faults is how many bidirectional links fail, one per event, drawn
 	// by FaultSeed; connectivity is always preserved. FaultStart and
 	// FaultSpacing place the events (0 means right after warmup, spaced
@@ -109,9 +105,6 @@ func (s ChurnSpec) validate(label string) error {
 	if s.Warmup < 0 || s.Measure < 0 {
 		return fail("sim", "negative cycle counts")
 	}
-	if s.SimWorkers < 0 || s.SimWorkers > 1024 {
-		return fail("sim", "sim workers %d outside [0, 1024]", s.SimWorkers)
-	}
 	if s.Faults < 0 {
 		return fail("faults", "negative fault count %d", s.Faults)
 	}
@@ -135,8 +128,7 @@ func (s ChurnSpec) spec() experiments.ChurnSpec {
 		Workload: s.Workload, Demand: s.Demand,
 		VCs: s.VCs, Capacity: s.Capacity,
 		Rate: s.Rate, Warmup: s.Warmup, Measure: s.Measure, Seed: s.Seed,
-		SimWorkers: s.SimWorkers,
-		Faults:     s.Faults, FaultSeed: s.FaultSeed,
+		Faults: s.Faults, FaultSeed: s.FaultSeed,
 		FaultStart: s.FaultStart, FaultSpacing: s.FaultSpacing,
 		RecoveryWindow: s.RecoveryWindow,
 		Requeue:        s.Requeue,

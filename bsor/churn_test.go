@@ -56,8 +56,6 @@ func TestChurnSpecValidation(t *testing.T) {
 		{"negative capacity", func(s *ChurnSpec) { s.Capacity = -1 }, "capacity"},
 		{"zero rate", func(s *ChurnSpec) { s.Rate = 0 }, "rate"},
 		{"negative cycles", func(s *ChurnSpec) { s.Measure = -1 }, "sim"},
-		{"negative sim workers", func(s *ChurnSpec) { s.SimWorkers = -1 }, "sim"},
-		{"absurd sim workers", func(s *ChurnSpec) { s.SimWorkers = 4096 }, "sim"},
 		{"negative faults", func(s *ChurnSpec) { s.Faults = -1 }, "faults"},
 		{"negative spacing", func(s *ChurnSpec) { s.FaultSpacing = -1 }, "faults"},
 		{"unknown resynth", func(s *ChurnSpec) { s.Resynth = "annealing" }, "resynth"},

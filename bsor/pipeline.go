@@ -144,10 +144,9 @@ func WithMILPBudget(b MILPBudget) Option {
 	return func(c *config) { c.milp = b; c.milpSet = true }
 }
 
-// WithSimDefaults supplies the warmup/measure/seed/workers values that
-// sim specs leaving those fields zero expand to, replacing the thesis
-// defaults — the idiomatic way to run a whole pipeline in smoke mode, or
-// to thread every simulation without touching each spec.
+// WithSimDefaults supplies the warmup/measure/seed values that sim
+// specs leaving those fields zero expand to, replacing the thesis
+// defaults — the idiomatic way to run a whole pipeline in smoke mode.
 func WithSimDefaults(d SimSpec) Option {
 	return func(c *config) { c.sim = d }
 }

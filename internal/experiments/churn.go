@@ -48,11 +48,6 @@ type ChurnSpec struct {
 	Measure int64 `json:"measure,omitempty"`
 	// Seed is the simulation seed (per-rate seeds derive from it).
 	Seed int64 `json:"seed,omitempty"`
-	// SimWorkers threads the cycle-accurate simulation itself
-	// (sim.Config.Workers); 0 or 1 keep it single-threaded. The run is
-	// byte-identical for any value, and the knob is cleared from the
-	// echoed ChurnResult.Spec, so a report never depends on it.
-	SimWorkers int `json:"sim_workers,omitempty"`
 
 	// Faults is how many bidirectional links fail, one per event; the
 	// schedule is drawn by FaultSeed, starts at FaultStart (default
@@ -109,10 +104,6 @@ func (c ChurnSpec) withDefaults() ChurnSpec {
 	}
 	return c
 }
-
-// scrub returns the spec as echoed into ChurnResult.Spec: performance-only
-// knobs are cleared so report JSON depends only on what was simulated.
-func (c ChurnSpec) scrub() ChurnSpec { c.SimWorkers = 0; return c }
 
 // ChurnResult is the outcome of one ChurnSpec: the initial route set's
 // MCL, the drawn schedule, the aggregate simulation point, and one report
@@ -188,11 +179,11 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 	spec = spec.withDefaults()
 	defer func() {
 		if p := recover(); p != nil {
-			res = ChurnResult{Spec: spec.scrub(), MCL: -1, Err: fmt.Sprint(p),
+			res = ChurnResult{Spec: spec, MCL: -1, Err: fmt.Sprint(p),
 				cause: fmt.Errorf("experiments: %v", p)}
 		}
 	}()
-	res = ChurnResult{Spec: spec.scrub(), MCL: -1}
+	res = ChurnResult{Spec: spec, MCL: -1}
 	r.bindMetrics()
 	r.Metrics.Counter("engine_churn_runs_total").Inc()
 	fail := func(err error) ChurnResult {
@@ -252,7 +243,6 @@ func (r *Runner) execChurn(ctx context.Context, spec ChurnSpec) (res ChurnResult
 		WarmupCycles:  spec.Warmup,
 		MeasureCycles: spec.Measure,
 		Seed:          spec.Seed + int64(spec.Rate*1000),
-		Workers:       spec.SimWorkers,
 		Metrics:       r.Metrics,
 	})
 	if err != nil {

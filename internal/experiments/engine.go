@@ -248,18 +248,7 @@ type Job struct {
 	// sequential generators used — so results are identical no matter how
 	// jobs are scheduled across workers.
 	Seed int64 `json:"seed"`
-	// SimWorkers is the per-simulation goroutine count (sim.Config.Workers):
-	// 0 or 1 run each simulation single-threaded, larger values shard the
-	// cycle loop spatially. Purely a performance knob — simulation results
-	// are byte-identical for any value — so it stays out of synthKey and is
-	// cleared from the echoed Result.Job, keeping result JSON independent
-	// of how each simulation was threaded.
-	SimWorkers int `json:"sim_workers,omitempty"`
 }
-
-// scrub returns the job as echoed into Result.Job: performance-only knobs
-// are cleared so result JSON depends only on what was measured.
-func (j Job) scrub() Job { j.SimWorkers = 0; return j }
 
 // synthKey identifies the route-synthesis work a job needs; jobs sharing
 // a key share one cached synthesis. Demand and capacity overrides extend
@@ -619,10 +608,10 @@ func (r *Runner) exec(ctx context.Context, j Job) (res Result) {
 	}()
 	defer func() {
 		if p := recover(); p != nil {
-			res = Result{Job: j.scrub(), MCL: -1, Err: fmt.Sprint(p), cause: fmt.Errorf("experiments: %v", p)}
+			res = Result{Job: j, MCL: -1, Err: fmt.Sprint(p), cause: fmt.Errorf("experiments: %v", p)}
 		}
 	}()
-	res = Result{Job: j.scrub(), MCL: -1}
+	res = Result{Job: j, MCL: -1}
 	fail := func(err error) Result {
 		res.Err = err.Error()
 		res.cause = err
@@ -809,7 +798,6 @@ func (r *Runner) simulate(ctx context.Context, g topology.Topology, set *route.S
 		MeasureCycles: j.Measure,
 		Seed:          j.Seed + int64(j.Rate*1000),
 		RateVariation: variation,
-		Workers:       j.SimWorkers,
 		Metrics:       r.Metrics,
 	})
 	if err != nil {

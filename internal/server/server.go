@@ -70,10 +70,6 @@ type Config struct {
 	// FastMILP runs BSOR-MILP specs under the reduced smoke budget
 	// (bsor.FastMILPBudget) instead of the published one.
 	FastMILP bool
-	// SimWorkers threads each simulation over spatial shards
-	// (bsor.SimSpec.Workers daemon-wide). Purely a speed knob; response
-	// bytes are identical for any value.
-	SimWorkers int
 	// Metrics receives the server_* instruments (and, via
 	// metrics.Register, backs the /metrics and /debug/vars endpoints).
 	// nil disables collection and leaves those endpoints unmounted.
@@ -175,9 +171,6 @@ func New(cfg Config) *Server {
 
 	if cfg.FastMILP {
 		s.opts = append(s.opts, bsor.WithMILPBudget(bsor.FastMILPBudget()))
-	}
-	if cfg.SimWorkers > 0 {
-		s.opts = append(s.opts, bsor.WithSimDefaults(bsor.SimSpec{Workers: cfg.SimWorkers}))
 	}
 
 	mux := http.NewServeMux()

@@ -182,6 +182,9 @@ func TestErrorMapping(t *testing.T) {
 			wantStatus: http.StatusBadRequest, wantKind: "spec", wantField: "workload"},
 		{name: "sim without sim block", path: "/v1/sim", body: synthSpec,
 			wantStatus: http.StatusBadRequest, wantKind: "spec", wantField: "sim"},
+		{name: "removed sim workers field", path: "/v1/sim",
+			body:       `{"topo":{"kind":"mesh","width":4,"height":4},"workload":"transpose","algorithm":"XY","sim":{"rates":[1],"workers":4}}`,
+			wantStatus: http.StatusBadRequest, wantKind: "request"},
 		{name: "bad timeout", path: "/v1/synthesize", body: synthSpec, query: "?timeout=banana",
 			wantStatus: http.StatusBadRequest, wantKind: "request"},
 		{name: "grid algorithm on a ring", path: "/v1/synthesize",

@@ -66,8 +66,8 @@ type vcBuf struct {
 }
 
 // pushFlit enqueues f at the tail of buffer bi. Dequeues have no
-// helper: within a cycle they are only *recorded* (simShard.pops), and
-// the commit phase advances head/count directly.
+// helper: within a cycle they are only *recorded* (Simulator.pops), and
+// commit advances head/count directly.
 func (s *Simulator) pushFlit(bi int32, b *vcBuf, f flitRef) {
 	pos := b.head + b.count
 	if pos >= s.depth {
@@ -83,30 +83,28 @@ func (s *Simulator) headFlit(bi int32, b *vcBuf) flitRef {
 }
 
 // chanPush links buffer bi into output channel ch's wait list and marks
-// the channel active for switch allocation in its owning shard (which
-// must be sh: the channel is sourced at bi's node). Lists are kept in
+// the channel active for switch allocation. Lists are kept in
 // ascending buffer-index order so that arbitration candidate order — and
 // with it the round-robin grant sequence — matches the pre-refactor full
 // scan (input channels in id order, then injection VCs): at saturation
 // the grant order is observable in the latency distribution, not just an
 // implementation detail.
-func (s *Simulator) chanPush(sh *simShard, ch, bi int32) {
+func (s *Simulator) chanPush(ch, bi int32) {
 	s.sortedInsert(&s.chanWait[ch], bi)
 	if !s.chanQueued[ch] {
 		s.chanQueued[ch] = true
-		sh.activeChans = append(sh.activeChans, ch)
+		s.activeChans = append(s.activeChans, ch)
 	}
 }
 
 // ejectPush links buffer bi into its node's ejection wait list (ascending
-// index order, see chanPush) and marks the node active for ejection in
-// its owning shard sh.
-func (s *Simulator) ejectPush(sh *simShard, bi int32) {
+// index order, see chanPush) and marks the node active for ejection.
+func (s *Simulator) ejectPush(bi int32) {
 	n := s.bufs[bi].node
 	s.sortedInsert(&s.ejectWait[n], bi)
 	if !s.ejectQueued[n] {
 		s.ejectQueued[n] = true
-		sh.activeEject = append(sh.activeEject, n)
+		s.activeEject = append(s.activeEject, n)
 	}
 }
 
@@ -153,21 +151,21 @@ func (s *Simulator) unlink(bi int32) {
 }
 
 // release ends buffer bi's tenure by the current packet: unlink from its
-// wait list and free the VC for the next VA claim. Freeing a channel VC
-// wakes the channel's VA waiters for the next allocShard pass; the wake
-// targets the channel's *upstream* shard, so it is routed through the
-// wakeOut outbox and absorbed during the commit phase. (vaWait is stable
-// during phaseSwitch — it changes only in phaseRoute — so the guard read
-// is race-free even cross-shard.)
-func (s *Simulator) release(sh *simShard, bi int32, b *vcBuf) {
+// wait list and free the VC for the next VA claim.
+func (s *Simulator) release(bi int32, b *vcBuf) {
 	s.unlink(bi)
 	b.owner = -1
 	b.active = false
 	b.eject = false
+	s.wakeVA(bi)
+}
+
+// wakeVA flags the channel of buffer bi for the next VA pass when a
+// packet waits on it: a VC of that channel just became free.
+func (s *Simulator) wakeVA(bi int32) {
 	if bi < s.injBase {
-		if cin := bi / s.nVCs; s.vaWait[cin] >= 0 {
-			dst := s.shardOfChan[cin]
-			sh.wakeOut[dst] = append(sh.wakeOut[dst], cin)
+		if ch := bi / s.nVCs; s.vaWait[ch] >= 0 {
+			s.vaFlag(ch)
 		}
 	}
 }

@@ -175,8 +175,7 @@ func (s *Simulator) emit(fi int32) {
 		s.nodeWork[n]++
 		if !s.injQueued[n] {
 			s.injQueued[n] = true
-			sh := &s.shards[s.shardOfNode[n]]
-			sh.activeInj = append(sh.activeInj, n)
+			s.activeInj = append(s.activeInj, n)
 		}
 	}
 }

@@ -26,10 +26,9 @@ import (
 //     total buffered flit count.
 //  5. flowWork matches queue/transfer state and nodeWork counts the
 //     flows with work; nodes with work are registered in activeInj.
-//  6. Shard ownership (DESIGN.md §15): every per-shard active-set entry
-//     belongs to the shard holding it, and every deferred-effect buffer
-//     (pops, popCnt, staging outboxes, VA wakes, resumes, statistic
-//     deltas) is fully drained between cycles.
+//  6. vaRetry holds exactly the flagged channels, once each, and the
+//     deferred effects of the two-phase cycle (pops, popCnt, staged
+//     arrivals, resumes) are fully drained between cycles.
 func (s *Simulator) checkInvariants() error {
 	nc := s.mesh.NumChannels()
 	nn := s.mesh.NumNodes()
@@ -70,22 +69,16 @@ func (s *Simulator) checkInvariants() error {
 		}
 	}
 	pending := make(map[int32]bool, 64)
-	for si := range s.shards {
-		for _, bi := range s.shards[si].routePending {
-			b := &s.bufs[bi]
-			if !b.pending || b.active || b.count == 0 {
-				return fmt.Errorf("cycle %d: routePending buf %d in state pending=%v active=%v count=%d",
-					s.cycle, bi, b.pending, b.active, b.count)
-			}
-			if s.shardOfBuf(bi) != int32(si) {
-				return fmt.Errorf("cycle %d: buf %d in shard %d's routePending but owned by shard %d",
-					s.cycle, bi, si, s.shardOfBuf(bi))
-			}
-			if pending[bi] {
-				return fmt.Errorf("cycle %d: buf %d in routePending twice", s.cycle, bi)
-			}
-			pending[bi] = true
+	for _, bi := range s.routePending {
+		b := &s.bufs[bi]
+		if !b.pending || b.active || b.count == 0 {
+			return fmt.Errorf("cycle %d: routePending buf %d in state pending=%v active=%v count=%d",
+				s.cycle, bi, b.pending, b.active, b.count)
 		}
+		if pending[bi] {
+			return fmt.Errorf("cycle %d: buf %d in routePending twice", s.cycle, bi)
+		}
+		pending[bi] = true
 	}
 	for ch := 0; ch < nc; ch++ {
 		prev := int32(-1)
@@ -267,77 +260,30 @@ func (s *Simulator) checkInvariants() error {
 		}
 	}
 
-	// Shard decomposition (shard.go): every active-set entry must sit in
-	// the shard that owns it — a cross-shard entry means some phase wrote
-	// another shard's state outside the commit protocol — and all
-	// deferred-effect buffers must drain completely each cycle.
-	flagged := make(map[int32]int32, 16) // channel -> shard holding it in vaRetry
-	for si := range s.shards {
-		sh := &s.shards[si]
-		for _, ch := range sh.activeChans {
-			if s.shardOfChan[ch] != int32(si) {
-				return fmt.Errorf("cycle %d: channel %d in shard %d's activeChans but owned by shard %d",
-					s.cycle, ch, si, s.shardOfChan[ch])
-			}
+	// VA flags and the two-phase cycle's deferred effects.
+	flagged := make(map[int32]bool, len(s.vaRetry))
+	for _, ch := range s.vaRetry {
+		if !s.vaFlagged[ch] {
+			return fmt.Errorf("cycle %d: channel %d in vaRetry but not flagged", s.cycle, ch)
 		}
-		for _, ch := range sh.vaRetry {
-			if s.shardOfChan[ch] != int32(si) {
-				return fmt.Errorf("cycle %d: channel %d in shard %d's vaRetry but owned by shard %d",
-					s.cycle, ch, si, s.shardOfChan[ch])
-			}
-			if !s.vaFlagged[ch] {
-				return fmt.Errorf("cycle %d: channel %d in vaRetry but not flagged", s.cycle, ch)
-			}
-			if prev, dup := flagged[ch]; dup {
-				return fmt.Errorf("cycle %d: channel %d in vaRetry of shards %d and %d", s.cycle, ch, prev, si)
-			}
-			flagged[ch] = int32(si)
+		if flagged[ch] {
+			return fmt.Errorf("cycle %d: channel %d in vaRetry twice", s.cycle, ch)
 		}
-		for _, n := range sh.activeEject {
-			if s.shardOfNode[n] != int32(si) {
-				return fmt.Errorf("cycle %d: node %d in shard %d's activeEject but owned by shard %d",
-					s.cycle, n, si, s.shardOfNode[n])
-			}
-		}
-		for _, n := range sh.activeInj {
-			if s.shardOfNode[n] != int32(si) {
-				return fmt.Errorf("cycle %d: node %d in shard %d's activeInj but owned by shard %d",
-					s.cycle, n, si, s.shardOfNode[n])
-			}
-		}
-		if len(sh.pops) != 0 || len(sh.injStaged) != 0 || len(sh.resumed) != 0 || len(sh.freed) != 0 {
-			return fmt.Errorf("cycle %d: shard %d has undrained effects (pops=%d injStaged=%d resumed=%d freed=%d)",
-				s.cycle, si, len(sh.pops), len(sh.injStaged), len(sh.resumed), len(sh.freed))
-		}
-		for dst, out := range sh.stageOut {
-			if len(out) != 0 {
-				return fmt.Errorf("cycle %d: shard %d stageOut[%d] holds %d flits between cycles", s.cycle, si, dst, len(out))
-			}
-		}
-		for dst, out := range sh.wakeOut {
-			if len(out) != 0 {
-				return fmt.Errorf("cycle %d: shard %d wakeOut[%d] holds %d wakes between cycles", s.cycle, si, dst, len(out))
-			}
-		}
-		if sh.moved || sh.flitHops != 0 || sh.inFlightDelta != 0 || sh.delivered != 0 ||
-			sh.mDelivered != 0 || sh.mLatencySum != 0 || sh.mTotalLatSum != 0 {
-			return fmt.Errorf("cycle %d: shard %d has unmerged statistic deltas", s.cycle, si)
-		}
+		flagged[ch] = true
 	}
 	for ch := int32(0); int(ch) < nc; ch++ {
-		if s.vaFlagged[ch] {
-			if _, ok := flagged[ch]; !ok {
-				return fmt.Errorf("cycle %d: channel %d flagged but in no shard's vaRetry", s.cycle, ch)
-			}
+		if s.vaFlagged[ch] && !flagged[ch] {
+			return fmt.Errorf("cycle %d: channel %d flagged but not in vaRetry", s.cycle, ch)
 		}
+	}
+	if len(s.pops) != 0 || len(s.staged) != 0 || len(s.resumed) != 0 {
+		return fmt.Errorf("cycle %d: undrained effects between cycles (pops=%d staged=%d resumed=%d)",
+			s.cycle, len(s.pops), len(s.staged), len(s.resumed))
 	}
 	for bi := range s.popCnt {
 		if s.popCnt[bi] != 0 {
 			return fmt.Errorf("cycle %d: buf %d popCnt %d between cycles", s.cycle, bi, s.popCnt[bi])
 		}
-	}
-	if len(s.resumeScratch) != 0 {
-		return fmt.Errorf("cycle %d: resumeScratch holds %d flows between cycles", s.cycle, len(s.resumeScratch))
 	}
 	return nil
 }

@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/cdg"
 	"repro/internal/flowgraph"
 	"repro/internal/route"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 func xyRoutes(t *testing.T, m *topology.Mesh, flows []flowgraph.Flow) *route.Set {
@@ -235,6 +238,38 @@ func TestDeterministicPerSeed(t *testing.T) {
 	c := run(t, cfg)
 	if a.PacketsDelivered == c.PacketsDelivered && a.AvgLatency == c.AvgLatency {
 		t.Error("different seeds produced identical results (suspicious)")
+	}
+}
+
+// TestParallelCancelMidCycle pins the cancellation contract of
+// RunContext: a run cancelled mid-way (between 1024-cycle poll strides)
+// returns context.Canceled and no Result, never a truncated measurement.
+func TestParallelCancelMidCycle(t *testing.T) {
+	g := topology.NewMesh(16, 16)
+	flows, err := traffic.Transpose(g, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := xyRoutes(t, g, flows)
+	for i := 0; i < 3; i++ {
+		s, err := New(Config{Mesh: g, Routes: set, VCs: 2, OfferedRate: 20,
+			WarmupCycles: 1000, MeasureCycles: 1 << 40, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(10 * time.Millisecond) // mid-run, between strides
+			cancel()
+		}()
+		res, err := s.RunContext(ctx)
+		if err != context.Canceled {
+			t.Fatalf("run %d: got %v, want context.Canceled", i, err)
+		}
+		if res != nil {
+			t.Fatalf("run %d: cancelled run returned a Result", i)
+		}
+		cancel()
 	}
 }
 

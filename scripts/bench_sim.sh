@@ -5,14 +5,12 @@
 #   BENCHTIME=5x scripts/bench_sim.sh     # more iterations for stable numbers
 #
 # The JSON records cycles/sec and flit-hops/sec per benchmarked
-# configuration — sequential and sharded-parallel (-wN rows, see
-# DESIGN.md §15) — plus the captured seed-core baseline (the pre-refactor
+# configuration plus the captured seed-core baseline (the pre-refactor
 # full-scan core, commit 1e6e2ee, measured on the same 16x16 transpose
 # latency curve in the reference container) and the resulting speedup.
-# The host CPU count rides along: parallel rows only show speedup with
-# real cores underneath; on a single-core host they measure barrier
-# overhead instead. EXPERIMENTS.md quotes these numbers; CI runs the same
-# benchmarks with -benchtime=1x as a smoke check.
+# The host CPU count rides along so numbers from different machines are
+# not mistaken for one another. EXPERIMENTS.md quotes these numbers; CI
+# runs the same benchmarks with -benchtime=1x as a smoke check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,7 +43,7 @@ echo "$raw" | awk -v out="$OUT" -v base="$BASELINE_16" -v ncpu="$(nproc)" '
 }
 END {
     printf "{\n" > out
-    printf "  \"benchmark\": \"BenchmarkSimCycles (offered-rate curves 2,10,20,40,60 at 2k+10k cycles, 2 VCs; mesh rows: transpose over XY; clos row: rand-perm over SP; -wN rows: N sim workers, byte-identical results)\",\n" >> out
+    printf "  \"benchmark\": \"BenchmarkSimCycles (offered-rate curves 2,10,20,40,60 at 2k+10k cycles, 2 VCs; mesh rows: transpose over XY; clos row: rand-perm over SP)\",\n" >> out
     printf "  \"host_cpus\": %d,\n", ncpu >> out
     printf "  \"results\": [\n" >> out
     for (i = 1; i <= n; i++) {
@@ -60,13 +58,9 @@ END {
     printf "    \"source\": \"pre-refactor full-scan core (commit 1e6e2ee), same curve, reference container\"\n" >> out
     printf "  },\n" >> out
     if (cycles["mesh16x16"] != "")
-        printf "  \"speedup_mesh16x16_vs_seed_core\": %.2f,\n", cycles["mesh16x16"] / base >> out
+        printf "  \"speedup_mesh16x16_vs_seed_core\": %.2f\n", cycles["mesh16x16"] / base >> out
     else
-        printf "  \"speedup_mesh16x16_vs_seed_core\": null,\n" >> out
-    if (cycles["mesh16x16"] != "" && cycles["mesh16x16-w4"] != "")
-        printf "  \"speedup_mesh16x16_w4_vs_sequential\": %.2f\n", cycles["mesh16x16-w4"] / cycles["mesh16x16"] >> out
-    else
-        printf "  \"speedup_mesh16x16_w4_vs_sequential\": null\n" >> out
+        printf "  \"speedup_mesh16x16_vs_seed_core\": null\n" >> out
     printf "}\n" >> out
 }
 '
